@@ -8,10 +8,18 @@ GO ?= go
 
 RACE_PKGS = ./internal/messenger/... ./internal/oplog/... ./internal/osd/... ./internal/sched/... ./internal/store/... ./internal/device/... ./internal/readcache/... ./internal/qos/...
 
-.PHONY: check vet test race chaos bench-msgr bench-oplog bench-cos bench-scale bench-scale-smoke bench-ycsb bench-mixed bench-ycsb-smoke bench-overload bench-overload-smoke bench-scrub bench-scrub-smoke
+.PHONY: check vet test race chaos bench-build bench-msgr bench-oplog bench-cos bench-scale bench-scale-smoke bench-ycsb bench-mixed bench-ycsb-smoke bench-overload bench-overload-smoke bench-scrub bench-scrub-smoke
 
-check: vet race
+check: vet race bench-build
 	$(GO) test ./...
+
+# The repo benchmark (benchmarks/, BENCHMARK.json) is a module of its own
+# that imports rebloc/internal/...; `go build ./...` and `go test ./...`
+# here never compile it. Type-check it, tests included, so a change to an
+# internal API it uses fails the pre-commit gate instead of the next
+# benchmark run. `benchmarks/run.sh test` also runs its tests (~20 s; CI).
+bench-build:
+	cd benchmarks && GOFLAGS=-mod=mod GOWORK=off $(GO) vet ./...
 
 # Seeded cluster fault-injection matrix (internal/chaos): every scenario
 # spins up an in-proc cluster, drives a recorded workload through a fault

@@ -25,12 +25,29 @@ type OSDInfo struct {
 }
 
 // Map is the versioned cluster map distributed by the monitor.
+//
+// A map built with NewMap or Clone is mutable (the monitor edits its own)
+// and computes every placement from the straw draws. A map returned by
+// Decode is what clients and OSDs install: it is never edited again, so
+// Decode computes every PG's acting set once and MapPG/Primary on it are
+// an index into that table.
 type Map struct {
 	Epoch    uint32
 	PGCount  uint32 // power of two
 	Replicas int
 	OSDs     map[uint32]OSDInfo
+
+	// acting is a decoded map's placement table: PG p's acting set is
+	// acting[p*Replicas : (p+1)*Replicas]. nil on mutable maps, and on a
+	// decoded map that cannot place a PG at all (MapPG then recomputes,
+	// and reports the shortfall).
+	acting []uint32
 }
+
+// maxTableEntries bounds the placement table Decode builds (PGs times
+// replicas), so a map whose counts are garbage costs a computation per
+// call, not memory.
+const maxTableEntries = 1 << 20
 
 // NewMap returns an empty map with the given placement parameters.
 func NewMap(pgCount uint32, replicas int) *Map {
@@ -59,7 +76,8 @@ func nextPow2(v uint32) uint32 {
 	return p
 }
 
-// Clone deep-copies the map.
+// Clone deep-copies the map. The copy is mutable: it does not carry the
+// placement table of a decoded original.
 func (m *Map) Clone() *Map {
 	out := &Map{
 		Epoch:    m.Epoch,
@@ -99,34 +117,75 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// MapPG returns the acting set for a PG: Replicas distinct up OSDs, the
-// first being the primary. It fails with ErrNoOSDs when fewer than
-// Replicas OSDs are up.
-func (m *Map) MapPG(pg uint32) ([]uint32, error) {
-	type cand struct {
-		id   uint32
-		draw float64
-	}
+// cand is one OSD eligible to hold data, with its draw for the PG being
+// placed.
+type cand struct {
+	id     uint32
+	weight float64
+	draw   float64
+}
+
+// eligible lists the OSDs that can hold data: up, with positive weight.
+func (m *Map) eligible() []cand {
 	cands := make([]cand, 0, len(m.OSDs))
 	for id, info := range m.OSDs {
-		if !info.Up || info.Weight <= 0 {
-			continue
+		if info.Up && info.Weight > 0 {
+			cands = append(cands, cand{id: id, weight: info.Weight})
 		}
-		cands = append(cands, cand{id: id, draw: straw(pg, id, info.Weight)})
 	}
+	return cands
+}
+
+// place writes pg's acting set into out: the len(out) largest draws among
+// cands, ties broken towards the lower id. It reorders cands, which is
+// harmless: the result does not depend on their order.
+func place(pg uint32, cands []cand, out []uint32) {
+	for i := range cands {
+		cands[i].draw = straw(pg, cands[i].id, cands[i].weight)
+	}
+	for i := range out {
+		best := i
+		for j := i + 1; j < len(cands); j++ {
+			if c, b := &cands[j], &cands[best]; c.draw > b.draw || (c.draw == b.draw && c.id < b.id) {
+				best = j
+			}
+		}
+		cands[i], cands[best] = cands[best], cands[i]
+		out[i] = cands[i].id
+	}
+}
+
+// buildTable computes the placement of every PG. It leaves the table nil
+// when the map cannot be tabulated (no replicas asked for, too few
+// eligible OSDs, absurd counts); MapPG then computes per call.
+func (m *Map) buildTable() {
+	cands := m.eligible()
+	if m.Replicas <= 0 || len(cands) < m.Replicas || m.PGCount == 0 ||
+		uint64(m.PGCount)*uint64(m.Replicas) > maxTableEntries {
+		return
+	}
+	acting := make([]uint32, int(m.PGCount)*m.Replicas)
+	for pg := uint32(0); pg < m.PGCount; pg++ {
+		place(pg, cands, acting[int(pg)*m.Replicas:][:m.Replicas])
+	}
+	m.acting = acting
+}
+
+// MapPG returns the acting set for a PG: Replicas distinct up OSDs, the
+// first being the primary. It fails with ErrNoOSDs when fewer than
+// Replicas OSDs are up. The returned slice may alias the map's placement
+// table: callers must not modify it.
+func (m *Map) MapPG(pg uint32) ([]uint32, error) {
+	if m.acting != nil && pg < m.PGCount {
+		lo, hi := int(pg)*m.Replicas, int(pg+1)*m.Replicas
+		return m.acting[lo:hi:hi], nil
+	}
+	cands := m.eligible()
 	if len(cands) < m.Replicas {
 		return nil, fmt.Errorf("%w: pg %d needs %d, have %d up", ErrNoOSDs, pg, m.Replicas, len(cands))
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].draw != cands[j].draw {
-			return cands[i].draw > cands[j].draw
-		}
-		return cands[i].id < cands[j].id
-	})
 	out := make([]uint32, m.Replicas)
-	for i := 0; i < m.Replicas; i++ {
-		out[i] = cands[i].id
-	}
+	place(pg, cands, out)
 	return out, nil
 }
 
@@ -173,7 +232,8 @@ func (m *Map) Encode() []byte {
 	return e.Bytes()
 }
 
-// Decode parses an encoded map.
+// Decode parses an encoded map and builds its placement table. The result
+// is meant to be installed and read, not edited: Clone it to change it.
 func Decode(buf []byte) (*Map, error) {
 	d := wire.NewDecoder(buf)
 	m := &Map{
@@ -198,5 +258,6 @@ func Decode(buf []byte) (*Map, error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("crush: decode map: %w", err)
 	}
+	m.buildTable()
 	return m, nil
 }

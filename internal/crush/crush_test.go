@@ -4,6 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -214,5 +217,165 @@ func TestCloneIsDeep(t *testing.T) {
 func TestStrawZeroWeight(t *testing.T) {
 	if !math.IsInf(straw(1, 1, 0), -1) {
 		t.Fatal("zero weight must never win")
+	}
+}
+
+// referenceMapPG is the placement rule written the slow, obvious way:
+// every eligible OSD draws, the draws are sorted (largest first, lower id
+// on a tie) and the first Replicas win. Both the per-call computation and
+// the decoded map's table must agree with it.
+func referenceMapPG(m *Map, pg uint32) ([]uint32, bool) {
+	type draw struct {
+		id uint32
+		d  float64
+	}
+	var ds []draw
+	for id, info := range m.OSDs {
+		if info.Up && info.Weight > 0 {
+			ds = append(ds, draw{id, straw(pg, id, info.Weight)})
+		}
+	}
+	if len(ds) < m.Replicas {
+		return nil, false
+	}
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].d != ds[j].d {
+			return ds[i].d > ds[j].d
+		}
+		return ds[i].id < ds[j].id
+	})
+	out := make([]uint32, m.Replicas)
+	for i := range out {
+		out[i] = ds[i].id
+	}
+	return out, true
+}
+
+// TestTableMatchesComputedPlacement sweeps random maps — uneven weights,
+// down and zero-weight OSDs, too few OSDs for the replica count — and
+// checks that the mutable map's computed path and the decoded map's table
+// both give the reference placement for every PG, and one past the last.
+func TestTableMatchesComputedPlacement(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	tabled, degraded := 0, 0
+	for round := 0; round < 300; round++ {
+		m := NewMap(uint32(1)<<rng.Intn(8), 1+rng.Intn(3))
+		m.Epoch = uint32(round + 1)
+		for i, n := 0, rng.Intn(12); i < n; i++ {
+			info := OSDInfo{ID: uint32(rng.Intn(40)), Up: rng.Intn(4) != 0, Weight: float64(rng.Intn(5)) / 2}
+			m.OSDs[info.ID] = info
+		}
+		dec, err := Decode(m.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.acting != nil {
+			tabled++
+		}
+		for pg := uint32(0); pg <= m.PGCount; pg++ {
+			want, ok := referenceMapPG(m, pg)
+			for name, mm := range map[string]*Map{"computed": m, "decoded": dec} {
+				got, err := mm.MapPG(pg)
+				prim, perr := mm.Primary(pg)
+				if !ok {
+					if !errors.Is(err, ErrNoOSDs) || !errors.Is(perr, ErrNoOSDs) {
+						t.Fatalf("round %d %s pg %d: err = %v / %v, want ErrNoOSDs", round, name, pg, err, perr)
+					}
+					continue
+				}
+				if err != nil || perr != nil || !reflect.DeepEqual(got, want) || prim != want[0] {
+					t.Fatalf("round %d %s pg %d: got %v primary %d (err %v / %v), want %v", round, name, pg, got, prim, err, perr, want)
+				}
+			}
+			if !ok {
+				degraded++
+			}
+		}
+	}
+	if tabled == 0 || degraded == 0 {
+		t.Fatalf("sweep too narrow: %d tabled maps, %d degraded placements", tabled, degraded)
+	}
+}
+
+// TestCloneOfDecodedMapRecomputes: a decoded map's table is frozen with
+// it, so the only way to edit one is Clone, and the clone must place from
+// its own OSD set, never from the original's table.
+func TestCloneOfDecodedMapRecomputes(t *testing.T) {
+	dec, err := Decode(clusterMap(6, 2).Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.acting == nil {
+		t.Fatal("decoded map has no placement table")
+	}
+	c := dec.Clone()
+	if c.acting != nil {
+		t.Fatal("clone carries the original's table")
+	}
+	victim, err := dec.Primary(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := c.OSDs[victim]
+	info.Up = false
+	c.OSDs[victim] = info
+	c.Epoch++
+	for pg := uint32(0); pg < c.PGCount; pg++ {
+		got, err := c.MapPG(pg)
+		want, _ := referenceMapPG(c, pg)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("pg %d: edited clone maps to %v (err %v), want %v", pg, got, err, want)
+		}
+		if contains(got, victim) {
+			t.Fatalf("pg %d: edited clone still places on down osd %d", pg, victim)
+		}
+	}
+	// The original is untouched and still answers from its table.
+	if p, _ := dec.Primary(5); p != victim {
+		t.Fatal("editing the clone moved the original's placement")
+	}
+}
+
+func contains(set []uint32, id uint32) bool {
+	for _, v := range set {
+		if v == id {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDecodeAbsurdCountsBuildsNoTable: counts are attacker-sized u32s; the
+// table must not be.
+func TestDecodeAbsurdCountsBuildsNoTable(t *testing.T) {
+	m := clusterMap(3, 2)
+	m.PGCount = 1 << 31
+	dec, err := Decode(m.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec.acting != nil {
+		t.Fatalf("built a %d-entry table for an absurd PG count", len(dec.acting))
+	}
+	if _, err := dec.MapPG(1 << 30); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func BenchmarkMapPG(b *testing.B) {
+	m := clusterMap(3, 2)
+	dec, err := Decode(m.Encode())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for name, mm := range map[string]*Map{"computed": m, "decoded": dec} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := mm.Primary(uint32(i) & (mm.PGCount - 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -72,9 +72,18 @@ const (
 	// megabytes per connection forever.
 	maxRetainedScratch = 64 << 10
 	// defaultFrameHint sizes the first pooled frame of a connection;
-	// afterwards the last frame's size is used.
+	// afterwards the last frame's size is used (see nextFrameHint).
 	defaultFrameHint = 4 << 10
 )
+
+// nextFrameHint turns the size of the frame just sent into the size hint
+// for the next one. Clamped to the largest pooled class: the frame after a
+// backfill chunk or a repair push is most likely an ordinary one, and a
+// hint above wire.MaxPooledFrame would make it allocate (and zero) a
+// buffer the size of its predecessor.
+func nextFrameHint(sent int) int64 {
+	return int64(min(sent, wire.MaxPooledFrame))
+}
 
 // --- TCP transport ---
 
@@ -197,7 +206,7 @@ func (c *tcpConn) Send(m wire.Message) error {
 	}
 	f := wire.GetFrame(int(c.sizeHint.Load()))
 	f.B = wire.AppendFrame(f.B, m)
-	c.sizeHint.Store(int64(len(f.B)))
+	c.sizeHint.Store(nextFrameHint(len(f.B)))
 	select {
 	case c.sendq <- f:
 		c.stats.Sends.Inc()
@@ -429,9 +438,18 @@ func (l *inprocListener) Addr() string { return l.addr }
 type pairCloser struct {
 	once sync.Once
 	ch   chan struct{}
+	// closed mirrors ch for Send's pre-check: one atomic load per message
+	// instead of a select. Set before ch closes, so a Send that saw it
+	// clear and then blocks still wakes on ch.
+	closed atomic.Bool
 }
 
-func (p *pairCloser) close() { p.once.Do(func() { close(p.ch) }) }
+func (p *pairCloser) close() {
+	p.once.Do(func() {
+		p.closed.Store(true)
+		close(p.ch)
+	})
+}
 
 type inprocConn struct {
 	send     chan *wire.Frame
@@ -445,15 +463,13 @@ type inprocConn struct {
 func (c *inprocConn) Send(m wire.Message) error {
 	// Check closure first: with buffer space free, the send case below
 	// could win the select even after Close.
-	select {
-	case <-c.closer.ch:
+	if c.closer.closed.Load() {
 		c.stats.SendErrors.Inc()
 		return ErrClosed
-	default:
 	}
 	f := wire.GetFrame(int(c.sizeHint.Load()))
 	f.B = wire.AppendFrame(f.B, m)
-	c.sizeHint.Store(int64(len(f.B)))
+	c.sizeHint.Store(nextFrameHint(len(f.B)))
 	select {
 	case c.send <- f:
 		c.stats.Sends.Inc()

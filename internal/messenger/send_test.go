@@ -243,3 +243,44 @@ func BenchmarkTCPSendPath4K(b *testing.B) {
 		}
 	}
 }
+
+// TestBigFrameDoesNotInflateTheNextOne: a connection sizes each pooled
+// frame from the last frame it sent. One frame above wire.MaxPooledFrame (a
+// backfill chunk, a whole-object repair push) used to make the following
+// ordinary frame allocate a buffer just as large; the hint is clamped to
+// the largest pooled class now, so no Send here may take the pool's jumbo
+// branch.
+func TestBigFrameDoesNotInflateTheNextOne(t *testing.T) {
+	for name, tr := range map[string]Transport{"inproc": NewInProc(), "tcp": TCP{}} {
+		t.Run(name, func(t *testing.T) {
+			addr := "big.frame"
+			if name == "tcp" {
+				addr = "127.0.0.1:0"
+			}
+			client, server, cleanup := transportPair(t, tr, addr)
+			defer cleanup()
+			recvd := make(chan int, 8)
+			go func() {
+				for {
+					m, err := server.Recv()
+					if err != nil {
+						return
+					}
+					recvd <- len(m.(*wire.ClientWrite).Data)
+				}
+			}()
+			before := wire.FramePoolStats().Jumbos
+			for _, n := range []int{4096, 1 << 20, 4096, 4096} {
+				if err := client.Send(&wire.ClientWrite{OID: wire.ObjectID{Name: "o"}, Data: make([]byte, n)}); err != nil {
+					t.Fatal(err)
+				}
+				if got := <-recvd; got != n {
+					t.Fatalf("received %d bytes, sent %d", got, n)
+				}
+			}
+			if got := wire.FramePoolStats().Jumbos - before; got != 0 {
+				t.Fatalf("%d jumbo frame allocations around one 1 MiB frame, want 0", got)
+			}
+		})
+	}
+}

@@ -3,23 +3,44 @@ package oplog
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
+	"errors"
 	"math/rand"
 	"testing"
 
 	"rebloc/internal/nvm"
+	"rebloc/internal/wire"
 )
 
-// TestDecodeOpGarbageNeverPanics feeds random payloads to the entry
+// TestDecodeOpGarbageNeverPanics feeds random metadata to the entry
 // decoder: every outcome must be a clean op or an error, never a panic
 // (mirrors the wire-package decoder fuzzer from the messenger rework).
+// Valid metadata with bytes appended or cut must be refused, not decoded
+// into a neighbouring op.
 func TestDecodeOpGarbageNeverPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 20000; i++ {
 		buf := make([]byte, rng.Intn(256))
 		rng.Read(buf)
-		_, _ = decodeOp(buf) // must not panic
+		_, _, _ = decodeOp(buf) // must not panic
 	}
+	op := writeOp("victim", 8192, []byte("payload"), 9)
+	meta := appendEntryHeader(nil, &op, dataCRC(&op))[entryHeader:]
+	got, dcrc, err := decodeOp(meta)
+	if err != nil || dcrc != dataCRC(&op) || got.OID != op.OID || got.Offset != op.Offset || got.Seq != op.Seq || got.Data != nil {
+		t.Fatalf("round trip: %+v crc %x err %v", got, dcrc, err)
+	}
+	if _, _, err := decodeOp(meta[:len(meta)-1]); err == nil {
+		t.Fatal("truncated metadata decoded")
+	}
+	if _, _, err := decodeOp(append(append([]byte(nil), meta...), 0)); err == nil {
+		t.Fatal("metadata with a trailing byte decoded")
+	}
+}
+
+// testFrame returns op's full log frame: what commitGroup writes in two
+// parts, concatenated.
+func testFrame(op wire.Op) []byte {
+	return append(appendEntryHeader(nil, &op, dataCRC(&op)), op.Data...)
 }
 
 // TestReadEntryAtHostileFrames plants hand-crafted hostile frames in the
@@ -41,7 +62,13 @@ func TestReadEntryAtHostileFrames(t *testing.T) {
 		return l, err
 	}
 	op := writeOp("victim", 0, bytes.Repeat([]byte{5}, 256), 1)
-	frame := appendEntryFrame(nil, &op)
+	frame := testFrame(op)
+	hdrLen := len(frame) - len(op.Data)
+	// reseal recomputes hdrCRC after a test edited the length or metadata,
+	// so the edit itself (not the CRC) is what readEntryAt must refuse.
+	reseal := func(raw []byte, metaEnd int) {
+		binary.LittleEndian.PutUint32(raw[4:], headerCRC(raw[:4], raw[entryHeader:metaEnd]))
+	}
 
 	t.Run("position beyond capacity", func(t *testing.T) {
 		l, _, _ := newTestLog(t, regionSize, 16)
@@ -63,31 +90,52 @@ func TestReadEntryAtHostileFrames(t *testing.T) {
 			t.Fatal("want error")
 		}
 	})
-	t.Run("corrupt crc", func(t *testing.T) {
+	t.Run("payload length exceeds frame length", func(t *testing.T) {
+		raw := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(raw[entryHeader:], uint32(len(frame)))
+		if _, err := plant(t, raw, 0); err == nil {
+			t.Fatal("want error")
+		}
+	})
+	t.Run("corrupt header crc", func(t *testing.T) {
 		raw := append([]byte(nil), frame...)
 		raw[4] ^= 0xFF
-		if _, err := plant(t, raw, 0); err == nil {
-			t.Fatal("want error")
+		if _, err := plant(t, raw, 0); !errors.Is(err, errHeaderCRC) {
+			t.Fatalf("err = %v, want header crc mismatch", err)
 		}
 	})
-	t.Run("truncated payload reads as crc mismatch", func(t *testing.T) {
+	t.Run("corrupt data crc is a header fault", func(t *testing.T) {
+		// dataCRC sits under hdrCRC: a flipped bit in it must not be
+		// mistaken for a rotted payload.
+		raw := append([]byte(nil), frame...)
+		raw[hdrLen-1] ^= 0x01
+		if _, err := plant(t, raw, 0); !errors.Is(err, errHeaderCRC) {
+			t.Fatalf("err = %v, want header crc mismatch", err)
+		}
+	})
+	t.Run("corrupt payload", func(t *testing.T) {
+		raw := append([]byte(nil), frame...)
+		raw[hdrLen+17] ^= 0x01
+		if _, err := plant(t, raw, 0); !errors.Is(err, errDataCRC) {
+			t.Fatalf("err = %v, want data crc mismatch", err)
+		}
+	})
+	t.Run("truncated payload reads as data crc mismatch", func(t *testing.T) {
 		// The frame claims its full length but only half the payload was
 		// written (torn write): the CRC over what the region holds differs.
-		raw := append([]byte(nil), frame[:entryHeader+128]...)
-		if _, err := plant(t, raw, 0); err == nil {
-			t.Fatal("want error")
+		raw := append([]byte(nil), frame[:hdrLen+128]...)
+		if _, err := plant(t, raw, 0); !errors.Is(err, errDataCRC) {
+			t.Fatalf("err = %v, want data crc mismatch", err)
 		}
 	})
-	t.Run("payload truncated to garbage that passes length check", func(t *testing.T) {
-		// Valid CRC over a payload that is itself a truncated op encoding:
-		// decodeOp must surface the short read as an error.
-		payload := frame[entryHeader : entryHeader+16]
-		raw := make([]byte, entryHeader+len(payload))
-		binary.LittleEndian.PutUint32(raw[0:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(raw[4:], crc32.ChecksumIEEE(payload))
-		copy(raw[entryHeader:], payload)
-		if _, err := plant(t, raw, 0); err == nil {
-			t.Fatal("want error")
+	t.Run("sealed metadata that is a truncated op", func(t *testing.T) {
+		// Valid hdrCRC over metadata cut short (the payload length moved
+		// up to swallow the cut): decodeOp must surface the short read.
+		raw := append([]byte(nil), frame...)
+		binary.LittleEndian.PutUint32(raw[entryHeader:], uint32(len(op.Data))+16)
+		reseal(raw, hdrLen-16)
+		if _, err := plant(t, raw, 0); err == nil || errors.Is(err, errHeaderCRC) {
+			t.Fatalf("err = %v, want a decode error", err)
 		}
 	})
 	t.Run("hostile frame wrapping the region end", func(t *testing.T) {
@@ -95,11 +143,9 @@ func TestReadEntryAtHostileFrames(t *testing.T) {
 		// boundary; the wrapped read path must error, not panic.
 		raw := append([]byte(nil), frame...)
 		raw[4] ^= 0x01
-		l, err := plant(t, raw, l2pos(regionSize, 100))
-		if err == nil {
+		if _, err := plant(t, raw, l2pos(regionSize, 100)); err == nil {
 			t.Fatal("want error")
 		}
-		_ = l
 	})
 	t.Run("valid frame wrapping the region end decodes", func(t *testing.T) {
 		pos := l2pos(regionSize, 100)
@@ -111,10 +157,10 @@ func TestReadEntryAtHostileFrames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Op.OID.Name != "victim" || len(e.Op.Data) != 256 {
+		if e.Op.OID.Name != "victim" || !bytes.Equal(e.Op.Data, op.Data) || e.DataCRC != dataCRC(&op) {
 			t.Fatalf("decoded %+v", e.Op)
 		}
-		if want := (pos + entryHeader + uint64(len(frame)-entryHeader)) % l.capacity(); next != want {
+		if want := (pos + uint64(len(frame))) % l.capacity(); next != want {
 			t.Fatalf("next = %d, want %d", next, want)
 		}
 	})

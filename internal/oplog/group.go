@@ -10,14 +10,16 @@ import (
 // Group commit (NVLog-style): the first appender to arrive becomes the
 // group leader; appenders that arrive while it is committing enqueue a
 // waiter and block. The leader drains the pending queue in groups of at
-// most groupMax, writing every member's frame into the circular buffer
-// back to back and then persisting once — one data-range barrier (two on
-// wrap) plus one header persist, amortized over the whole group. Sequence
-// numbers are assigned by the caller before Append, so followers keep
-// their arrival order inside the group and per-object ordering holds.
+// most groupMax, writing every member's frame (metadata from the log's
+// scratch, payload straight from the appender's buffer) into the circular
+// buffer back to back and then persisting once — one data-range barrier
+// (two on wrap) plus one header persist, amortized over the whole group.
+// Sequence numbers are assigned by the caller before Append, so followers
+// keep their arrival order inside the group and per-object ordering holds.
 
-// groupWaiter carries one append through a group commit. Pooled; the
-// embedded WaitGroup is reused across cycles.
+// groupWaiter carries one append through a group commit. Pooled, and
+// returned to the pool zeroed; the embedded WaitGroup is reused across
+// cycles.
 type groupWaiter struct {
 	op  wire.Op
 	ent *Entry
@@ -44,9 +46,6 @@ func (l *Log) Append(op wire.Op) (*Entry, error) {
 	l.appenders.Add(1)
 	w := waiterPool.Get().(*groupWaiter)
 	w.op = op
-	w.ent = nil
-	w.err = nil
-	w.batchErr = nil
 	w.wg.Add(1)
 
 	l.gmu.Lock()
@@ -109,8 +108,6 @@ func (l *Log) AppendBatch(ops []wire.Op) (int, error) {
 	for i := range ops {
 		w := waiterPool.Get().(*groupWaiter)
 		w.op = ops[i]
-		w.ent = nil
-		w.err = nil
 		w.batchErr = &batchErr
 		w.wg.Add(1)
 		ws[i] = w
@@ -188,7 +185,6 @@ func (l *Log) commitGroup(ws []*groupWaiter) {
 	}
 	capy := l.capacity()
 	start := l.head
-	frame := wire.GetFrame(l.frameHint)
 	var groupBytes uint64
 	committed := 0
 	for _, w := range ws {
@@ -199,11 +195,9 @@ func (l *Log) commitGroup(ws []*groupWaiter) {
 			w.err = *w.batchErr
 			break
 		}
-		frame.B = appendEntryFrame(frame.B[:0], &w.op)
-		if len(frame.B) > l.frameHint {
-			l.frameHint = len(frame.B)
-		}
-		need := uint64(len(frame.B))
+		dcrc := dataCRC(&w.op)
+		hdr := appendEntryHeader(l.metaScratch[:0], &w.op, dcrc)
+		need := uint64(len(hdr) + len(w.op.Data))
 		if need > capy-1 {
 			// Wider than the whole region: flushing can never help.
 			// Repair pushes carry full objects, so a region sized below
@@ -218,7 +212,11 @@ func (l *Log) commitGroup(ws []*groupWaiter) {
 			break
 		}
 		pos := (start + groupBytes) % capy
-		if err := l.writeCircularAt(frame.B, pos); err != nil {
+		err := l.writeCircularAt(hdr, pos)
+		if err == nil {
+			err = l.writeCircularAt(w.op.Data, (pos+uint64(len(hdr)))%capy)
+		}
+		if err != nil {
 			w.err = err
 			break
 		}
@@ -226,12 +224,11 @@ func (l *Log) commitGroup(ws []*groupWaiter) {
 		e.Op = w.op
 		e.LogPos = pos
 		e.State = StateStaged
-		e.DataCRC = dataCRC(&w.op)
+		e.DataCRC = dcrc
 		w.ent = e
 		groupBytes += need
 		committed++
 	}
-	wire.PutFrame(frame)
 	// The first failure fails every later member too: succeeding them
 	// out of order would break per-object sequencing. They retry after
 	// the caller's synchronous flush.

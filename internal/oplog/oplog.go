@@ -12,10 +12,17 @@
 // crash rebuilds the staged-but-unflushed suffix, which the OSD REDO-
 // applies to the store.
 //
+// Entry frame: [u32 len][u32 hdrCRC][meta][u32 dataCRC][data]. len counts
+// what follows hdrCRC; meta is the op without its payload, payload length
+// first; hdrCRC covers len, meta and dataCRC; dataCRC covers the payload
+// and is the Castagnoli CRC the entry keeps as Entry.DataCRC, so append
+// and replay each make one pass over the payload.
+//
 // Appends are group-committed (group.go): concurrent appenders coalesce
-// into one circular-buffer write and one header persist per group, and the
-// hot path reuses pooled frames, entries and waiters so steady-state
-// appends do not allocate. The index cache keeps a merged extent view per
+// into one persisted range and one header persist per group, each member's
+// payload goes from the caller's buffer straight into the region, and the
+// hot path reuses pooled entries and waiters so steady-state appends do
+// not allocate. The index cache keeps a merged extent view per
 // object (extent.go) so reads resolve with whole-extent copies.
 package oplog
 
@@ -44,12 +51,18 @@ var (
 	// instead of flushing and retrying: treating this as ErrFull turns the
 	// flush-retry loop into a livelock.
 	ErrTooLarge = errors.New("oplog: entry exceeds region capacity")
+
+	errHeaderCRC = errors.New("frame header crc mismatch")
+	errDataCRC   = errors.New("frame data crc mismatch")
 )
 
 const (
 	headerBytes = 64
-	entryHeader = 8 // u32 length + u32 crc
-	logMagic    = 0x0910D06
+	entryHeader = 8 // u32 length + u32 header crc
+	// entryMetaFixed is the size of an entry's metadata with an empty
+	// object name, dataCRC included.
+	entryMetaFixed = 4 + 1 + 4 + 4 + 8 + 4 + 8 + 8 + 4
+	logMagic       = 0x0910D06
 
 	// DefaultGroupCommitMax caps how many concurrent appends commit as one
 	// group (one data persist + one header persist shared by all of them).
@@ -76,10 +89,10 @@ type Entry struct {
 	LogPos uint64 // byte offset of the frame in the region
 	State  EntryState
 
-	// DataCRC is the Castagnoli CRC of Op.Data, recorded when the entry was
-	// staged (0 for dataless ops). The NVM frame already carries its own
-	// CRC, so this guards the only unprotected window: the DRAM copy of the
-	// payload between append and flush. See VerifyStagedData.
+	// DataCRC is the Castagnoli CRC of Op.Data, computed once when the
+	// entry was staged (0 for dataless ops) and stored in the NVM frame as
+	// its payload checksum. In DRAM it guards the copy of the payload
+	// between append and flush. See VerifyStagedData.
 	DataCRC uint32
 }
 
@@ -184,7 +197,6 @@ type Log struct {
 	group      []*groupWaiter // leader's scratch, reused across groups
 	committing bool
 	groupMax   int
-	frameHint  int          // largest frame seen; sizes the pooled buffer
 	appenders  atomic.Int32 // appenders in flight (leader yield heuristic)
 
 	closed atomic.Bool
@@ -199,6 +211,9 @@ type Log struct {
 	servedEpoch uint32
 
 	hdrScratch [32]byte // persistHeader encode buffer (no per-call alloc)
+	// metaScratch is commitGroup's frame-header encode buffer (under mu).
+	// Fixed size: a name too long for it allocates, for that append only.
+	metaScratch [entryHeader + entryMetaFixed + 128]byte
 
 	// Read-cache hooks (nil until SetCacheHooks; recovery stages entries
 	// before any cache exists, which is fine — a fresh cache is empty).
@@ -232,7 +247,6 @@ func newLog(pg uint32, region *nvm.Region, threshold int) *Log {
 		index:     make(map[uint64]*objStage),
 		threshold: threshold,
 		groupMax:  DefaultGroupCommitMax,
-		frameHint: 512,
 	}
 }
 
@@ -305,11 +319,7 @@ func recover_(pg uint32, region *nvm.Region, threshold int, salvage bool) (*Log,
 		}
 		return l, nil, true, nil
 	}
-	if l.head >= l.tail {
-		l.used = l.head - l.tail
-	} else {
-		l.used = capy - (l.tail - l.head)
-	}
+	l.used = l.span(l.tail, l.head)
 	// Walk entries tail -> head.
 	pos := l.tail
 	for pos != l.head {
@@ -320,11 +330,7 @@ func recover_(pg uint32, region *nvm.Region, threshold int, salvage bool) (*Log,
 			}
 			// Truncate at the first bad frame and persist the shorter log.
 			l.head = pos
-			if l.head >= l.tail {
-				l.used = l.head - l.tail
-			} else {
-				l.used = capy - (l.tail - l.head)
-			}
+			l.used = l.span(l.tail, l.head)
 			if perr := l.persistHeader(); perr != nil {
 				return nil, nil, false, perr
 			}
@@ -344,6 +350,14 @@ func recover_(pg uint32, region *nvm.Region, threshold int, salvage bool) (*Log,
 
 func (l *Log) capacity() uint64 { return uint64(l.region.Size()) - headerBytes }
 
+// span is the number of circular bytes from tail up to head.
+func (l *Log) span(tail, head uint64) uint64 {
+	if head >= tail {
+		return head - tail
+	}
+	return l.capacity() - (tail - head)
+}
+
 func (l *Log) persistHeader() error {
 	hdr := l.hdrScratch[:]
 	binary.LittleEndian.PutUint32(hdr[0:], logMagic)
@@ -357,12 +371,14 @@ func (l *Log) persistHeader() error {
 	return nil
 }
 
-// appendEntryFrame encodes op as a log frame ([u32 len][u32 crc][payload])
-// appended to dst, which must have len 0 (pooled frame buffer).
-func appendEntryFrame(dst []byte, op *wire.Op) []byte {
+// appendEntryHeader encodes into dst (from its start) everything of op's
+// log frame that precedes the payload: [u32 len][u32 hdrCRC][meta][u32
+// dataCRC]. The caller writes op.Data behind it; nothing copies it here.
+func appendEntryHeader(dst []byte, op *wire.Op, dcrc uint32) []byte {
 	e := wire.NewEncoder(dst)
-	e.U32(0) // payload length, patched below
-	e.U32(0) // payload crc, patched below
+	e.U32(0) // frame length, patched below
+	e.U32(0) // header crc, patched below
+	e.U32(uint32(len(op.Data)))
 	e.U8(uint8(op.Kind))
 	e.U32(op.OID.Pool)
 	e.String32(op.OID.Name)
@@ -370,16 +386,25 @@ func appendEntryFrame(dst []byte, op *wire.Op) []byte {
 	e.U32(op.Length)
 	e.U64(op.Version)
 	e.U64(op.Seq)
-	e.Bytes32(op.Data)
+	e.U32(dcrc)
 	buf := e.Bytes()
-	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-entryHeader))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[entryHeader:]))
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-entryHeader+len(op.Data)))
+	binary.LittleEndian.PutUint32(buf[4:], headerCRC(buf[:4], buf[entryHeader:]))
 	return buf
 }
 
-func decodeOp(buf []byte) (wire.Op, error) {
-	d := wire.NewDecoder(buf)
-	op := wire.Op{
+// headerCRC is the frame's hdrCRC: the length field and the metadata
+// (dataCRC included), skipping the slot the CRC itself occupies.
+func headerCRC(lenField, meta []byte) uint32 {
+	return crc32.Update(crc32.Checksum(lenField, castagnoli), castagnoli, meta)
+}
+
+// decodeOp parses a frame's metadata (payload length first, dataCRC last)
+// into an op without its payload.
+func decodeOp(meta []byte) (op wire.Op, dcrc uint32, err error) {
+	d := wire.NewDecoder(meta)
+	d.U32() // payload length: the caller split the frame on it
+	op = wire.Op{
 		Kind: wire.OpKind(d.U8()),
 		OID:  wire.ObjectID{Pool: d.U32(), Name: d.String32()},
 	}
@@ -387,23 +412,27 @@ func decodeOp(buf []byte) (wire.Op, error) {
 	op.Length = d.U32()
 	op.Version = d.U64()
 	op.Seq = d.U64()
-	op.Data = d.Bytes32()
-	if err := d.Err(); err != nil {
-		return wire.Op{}, err
+	dcrc = d.U32()
+	if err := d.Finish(); err != nil {
+		return wire.Op{}, 0, err
 	}
-	return op, nil
+	return op, dcrc, nil
+}
+
+// wrap splits n circular bytes starting at pos into the run that fits
+// before the region end and the rest, which continues at the region start.
+func (l *Log) wrap(pos, n uint64) (first, rest uint64) {
+	if first = l.capacity() - pos; n <= first {
+		return n, 0
+	}
+	return first, n - first
 }
 
 // writeCircularAt stores buf at the circular position pos without
 // persisting; the group leader persists the whole group's range at once.
 func (l *Log) writeCircularAt(buf []byte, pos uint64) error {
-	capy := l.capacity()
-	first := capy - pos
-	if uint64(len(buf)) <= first {
-		_, err := l.region.WriteAt(buf, int64(headerBytes+pos))
-		return err
-	}
-	if _, err := l.region.WriteAt(buf[:first], int64(headerBytes+pos)); err != nil {
+	first, rest := l.wrap(pos, uint64(len(buf)))
+	if _, err := l.region.WriteAt(buf[:first], int64(headerBytes+pos)); err != nil || rest == 0 {
 		return err
 	}
 	_, err := l.region.WriteAt(buf[first:], headerBytes)
@@ -413,26 +442,17 @@ func (l *Log) writeCircularAt(buf []byte, pos uint64) error {
 // persistRange persists n circular bytes starting at pos: one barrier for
 // the common case, two when the range wraps the region end.
 func (l *Log) persistRange(pos, n uint64) error {
-	capy := l.capacity()
-	first := capy - pos
-	if n <= first {
-		return l.region.Persist(int64(headerBytes+pos), int(n))
-	}
-	if err := l.region.Persist(int64(headerBytes+pos), int(first)); err != nil {
+	first, rest := l.wrap(pos, n)
+	if err := l.region.Persist(int64(headerBytes+pos), int(first)); err != nil || rest == 0 {
 		return err
 	}
-	return l.region.Persist(headerBytes, int(n-first))
+	return l.region.Persist(headerBytes, int(rest))
 }
 
 // readCircularInto fills dst from the circular position pos.
 func (l *Log) readCircularInto(dst []byte, pos uint64) error {
-	capy := l.capacity()
-	first := capy - pos
-	if uint64(len(dst)) <= first {
-		_, err := l.region.ReadAt(dst, int64(headerBytes+pos))
-		return err
-	}
-	if _, err := l.region.ReadAt(dst[:first], int64(headerBytes+pos)); err != nil {
+	first, rest := l.wrap(pos, uint64(len(dst)))
+	if _, err := l.region.ReadAt(dst[:first], int64(headerBytes+pos)); err != nil || rest == 0 {
 		return err
 	}
 	_, err := l.region.ReadAt(dst[first:], headerBytes)
@@ -440,67 +460,56 @@ func (l *Log) readCircularInto(dst []byte, pos uint64) error {
 }
 
 // readEntryAt decodes the frame at pos, returning a pooled entry and the
-// next frame position. The payload is read zero-copy from the region when
-// contiguous; wrapped frames borrow a pooled scratch buffer.
+// next frame position. The header CRC is verified before the metadata is
+// believed, the payload CRC before the payload is.
 func (l *Log) readEntryAt(pos uint64) (*Entry, uint64, error) {
 	capy := l.capacity()
 	if pos >= capy {
 		return nil, 0, fmt.Errorf("frame position %d beyond capacity %d", pos, capy)
 	}
-	var hdrArr [entryHeader]byte
-	if err := l.readCircularInto(hdrArr[:], pos); err != nil {
+	var hdr [entryHeader]byte
+	if err := l.readCircularInto(hdr[:], pos); err != nil {
 		return nil, 0, err
 	}
-	plen := binary.LittleEndian.Uint32(hdrArr[0:])
-	crc := binary.LittleEndian.Uint32(hdrArr[4:])
-	if plen == 0 || uint64(plen)+entryHeader > capy {
-		return nil, 0, fmt.Errorf("bad frame length %d", plen)
+	flen := binary.LittleEndian.Uint32(hdr[0:])
+	if flen < entryMetaFixed || uint64(flen)+entryHeader > capy {
+		return nil, 0, fmt.Errorf("bad frame length %d", flen)
 	}
-	payloadPos := (pos + entryHeader) % capy
-	var payload []byte
-	var scratch *wire.Frame
-	if uint64(plen) <= capy-payloadPos {
-		var err error
-		payload, err = l.region.Slice(int64(headerBytes+payloadPos), int(plen))
-		if err != nil {
-			return nil, 0, err
-		}
-	} else {
-		scratch = wire.GetFrame(int(plen))
-		payload = scratch.B[:plen]
-		if err := l.readCircularInto(payload, payloadPos); err != nil {
-			wire.PutFrame(scratch)
-			return nil, 0, err
-		}
+	// One read, one buffer: the entry keeps the payload's part of it.
+	body := make([]byte, flen)
+	if err := l.readCircularInto(body, (pos+entryHeader)%capy); err != nil {
+		return nil, 0, err
 	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		if scratch != nil {
-			wire.PutFrame(scratch)
-		}
-		return nil, 0, errors.New("frame crc mismatch")
+	dlen := binary.LittleEndian.Uint32(body)
+	if dlen > flen-entryMetaFixed {
+		return nil, 0, fmt.Errorf("bad payload length %d in frame of %d", dlen, flen)
 	}
-	op, err := decodeOp(payload) // copies payload bytes; region view not retained
-	if scratch != nil {
-		wire.PutFrame(scratch)
+	meta, data := body[:flen-dlen], body[flen-dlen:]
+	if headerCRC(hdr[:4], meta) != binary.LittleEndian.Uint32(hdr[4:]) {
+		return nil, 0, errHeaderCRC
 	}
+	op, dcrc, err := decodeOp(meta)
 	if err != nil {
 		return nil, 0, err
+	}
+	op.Data = data
+	if dataCRC(&op) != dcrc {
+		return nil, 0, errDataCRC
 	}
 	e := entryPool.Get().(*Entry)
 	e.Op = op
 	e.LogPos = pos
 	e.State = StateStaged
-	e.DataCRC = dataCRC(&op)
-	next := (pos + entryHeader + uint64(plen)) % capy
-	return e, next, nil
+	e.DataCRC = dcrc
+	return e, (pos + entryHeader + uint64(flen)) % capy, nil
 }
 
 // VerifyStagedData checks each batch entry's in-DRAM payload against the
-// checksum recorded when it was staged. The NVM frames carry their own CRC
-// (verified on every replay read), so the only unguarded window for silent
-// corruption is the DRAM copy handed from append to flush — exactly the
-// bytes about to be written to the object store. A mismatching entry
-// self-heals: its frame is re-read from NVM (frame CRC verified there) and
+// checksum recorded when it was staged. The NVM frames carry the same
+// checksum (verified on every replay read), so the only unguarded window
+// for silent corruption is the DRAM copy handed from append to flush —
+// exactly the bytes about to be written to the object store. A mismatching
+// entry self-heals: its frame is re-read from NVM (both CRCs verified) and
 // the clean payload is copied over the corrupt one in place, so index-cache
 // views aliasing the same backing array heal with it. Returns how many
 // entries were healed; an entry whose NVM frame is also unreadable is a
@@ -670,19 +679,11 @@ func (l *Log) Complete(batch []*Entry) error {
 	}
 	l.entries = kept
 	// Advance the tail to the first live entry (or head when empty).
-	if len(l.entries) == 0 {
-		l.tail = l.head
-		l.used = 0
-	} else {
-		first := l.entries[0].LogPos
-		capy := l.capacity()
-		if l.head >= first {
-			l.used = l.head - first
-		} else {
-			l.used = capy - (first - l.head)
-		}
-		l.tail = first
+	l.tail = l.head
+	if len(l.entries) > 0 {
+		l.tail = l.entries[0].LogPos
 	}
+	l.used = l.span(l.tail, l.head)
 	return l.persistHeader()
 }
 

@@ -195,7 +195,15 @@ func (o *OSD) admitMutation(conn messenger.Conn, reqID uint64, pg uint32, oid wi
 	if pgs == nil || pgs.throttle == nil {
 		return true
 	}
-	switch pgs.throttle.State() {
+	state := pgs.throttle.State()
+	if state == qos.StateReject {
+		// The reject band bounces appends, and appends and drains are what
+		// sample the log: re-sample here, or a band entered just as the
+		// drain emptied the log would answer Again until somebody's
+		// retries ran out.
+		state = pgs.throttle.Observe(pgs.log.Occupancy())
+	}
+	switch state {
 	case qos.StateDelay:
 		o.wakeNPT(pg)
 		occ := pgs.log.Occupancy()
@@ -264,9 +272,10 @@ func throttleMid(th *qos.Throttle) float64 {
 }
 
 // observeOccupancy feeds the PG's throttle one occupancy sample after an
-// append or drain moved the log's fill level, tracking the OSD-wide
-// high-water mark along the way. Escalations nudge the PG's non-priority
-// worker so the drain that relieves the pressure is already running.
+// append or a completed drain moved the log's fill level, tracking the
+// OSD-wide high-water mark along the way. Escalations nudge the PG's
+// non-priority worker so the drain that relieves the pressure is already
+// running.
 func (o *OSD) observeOccupancy(pgs *pgState) {
 	if pgs.throttle == nil {
 		return

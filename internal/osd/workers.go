@@ -334,6 +334,7 @@ func (o *OSD) drainBatch(owned []*pgState) {
 					}
 				}
 			}
+			o.observeOccupancy(s)
 		}
 		s.flushMu.Unlock()
 	}
@@ -397,7 +398,10 @@ func (o *OSD) verifyStaged(s *pgState, batch []*oplog.Entry) error {
 }
 
 // applyAndComplete applies one PG's taken batch and completes (or, on
-// failure, requeues) its entries. Caller holds s.flushMu.
+// failure, requeues) its entries. Every Complete is followed by an
+// occupancy sample, here and in drainBatch: once the ladder is in the
+// reject band no append samples the log, so the drain that relieves the
+// pressure has to be what reports it. Caller holds s.flushMu.
 func (o *OSD) applyAndComplete(s *pgState, batch []*oplog.Entry, flushGen uint64) error {
 	if err := o.applyEntries(s, batch, flushGen); err != nil {
 		s.log.Requeue(batch)
@@ -405,7 +409,9 @@ func (o *OSD) applyAndComplete(s *pgState, batch []*oplog.Entry, flushGen uint64
 	}
 	o.FlushBatches.Inc()
 	o.FlushedEntries.Add(int64(len(batch)))
-	return s.log.Complete(batch)
+	err := s.log.Complete(batch)
+	o.observeOccupancy(s)
+	return err
 }
 
 // applyEntries applies a batch of op-log entries: staged writes coalesce

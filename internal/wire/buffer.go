@@ -164,8 +164,12 @@ func (d *Decoder) Bytes32() []byte {
 	if d.err != nil || !d.need(n) {
 		return nil
 	}
+	// make immediately followed by copy from a plain variable compiles to
+	// one allocate-and-copy that skips zeroing the bytes it overwrites; a
+	// slice expression as the copy source defeats that.
+	src := d.buf[d.off : d.off+n]
 	out := make([]byte, n)
-	copy(out, d.buf[d.off:d.off+n])
+	copy(out, src)
 	d.off += n
 	return out
 }
