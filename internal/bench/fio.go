@@ -91,11 +91,11 @@ func (o *FioOptions) fill() {
 
 // Result summarises one run.
 type Result struct {
-	Name      string
-	Ops       int64
-	Errors    int64
-	Elapsed   time.Duration
-	Lat       *metrics.Histogram
+	Name    string
+	Ops     int64
+	Errors  int64
+	Elapsed time.Duration
+	Lat     *metrics.Histogram
 	// ReadLat/WriteLat split the distribution by op class so mixed
 	// patterns can report read latency on its own (the number a read
 	// cache moves). Both observe into Lat as well.

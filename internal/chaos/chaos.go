@@ -170,7 +170,7 @@ func Run(t *testing.T, sc Scenario, seed int64) {
 		// hosts where the per-core default would collapse to one shard:
 		// faults must hit cross-shard routing, per-shard group commit and
 		// the lock-free dirty queue, not a degenerate single-queue layout.
-		Shards: 4,
+		Shards:           4,
 		DeviceBytes:      256 << 20,
 		NVMBytes:         64 << 20,
 		NVMCrashSim:      true,

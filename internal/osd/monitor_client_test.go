@@ -55,13 +55,13 @@ func TestMapSelfDownForcesReboot(t *testing.T) {
 					}
 					switch m.(type) {
 					case *wire.MonBoot:
-						_ = c.Send(&wire.MonMap{MapBytes: encodeMap(uint32(sess * 2), true)})
+						_ = c.Send(&wire.MonMap{MapBytes: encodeMap(uint32(sess*2), true)})
 						select {
 						case boots <- sess:
 						default:
 						}
 						if sess == 1 {
-							_ = c.Send(&wire.MonMap{MapBytes: encodeMap(uint32(sess*2 + 1), false)})
+							_ = c.Send(&wire.MonMap{MapBytes: encodeMap(uint32(sess*2+1), false)})
 						}
 					}
 				}

@@ -243,13 +243,13 @@ type pgState struct {
 	pg  uint32
 	log *oplog.Log // nil unless ModeProposed
 
-	mu    sync.Mutex
-	seq   uint64
+	mu  sync.Mutex
+	seq uint64
 	// muts counts staged mutations (writes/deletes) only. The repair
 	// loop fences its read-modify-write pushes on it; fencing on seq
 	// would livelock against logged reads (which also consume sequence
 	// numbers), e.g. a reader polling for convergence.
-	muts  atomic.Uint64
+	muts atomic.Uint64
 	// replPend counts mutations staged on this PG whose replication
 	// fan-out (or failure handling) has not completed yet. Read-repair's
 	// quiescence fence: the muts fence proves no mutation staged AFTER
@@ -303,6 +303,7 @@ func (s *pgState) nextSeq() uint64 {
 	s.seq++
 	return s.seq
 }
+
 // bumpSeq raises the local counter to at least seq (secondary side).
 func (s *pgState) bumpSeq(seq uint64) {
 	s.mu.Lock()

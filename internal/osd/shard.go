@@ -226,7 +226,7 @@ func (sh *shard) processBurst(burst []shardReq) {
 		case *wire.ClientDelete:
 			run = append(run, runOp{
 				conn: r.conn, pg: r.pg, client: true, reqID: msg.ReqID,
-				op:   wire.Op{Kind: wire.OpDelete, OID: msg.OID},
+				op: wire.Op{Kind: wire.OpDelete, OID: msg.OID},
 			})
 		case *wire.Repl:
 			run = append(run, runOp{

@@ -114,7 +114,7 @@ type cshard struct {
 	ents  []*centry // by slot index; nil = free or reserved by a pinned dead entry
 	free  []int
 	hand  int
-	base  int               // first slot's global index (buf offset / SlotBytes)
+	base  int // first slot's global index (buf offset / SlotBytes)
 	index map[uint64]*objNode
 }
 

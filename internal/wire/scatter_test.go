@@ -41,9 +41,9 @@ func buildSegs(spec []byte) (segs []DataSeg, flat []byte) {
 func FuzzScatterReply(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 8})
-	f.Add([]byte{5, 0, 9})            // gap only, trailing zeros
-	f.Add([]byte{0, 63, 31, 63, 15})  // big segments, big gap
-	f.Add([]byte{1, 1, 1, 1, 1, 1})   // many tiny segments
+	f.Add([]byte{5, 0, 9})           // gap only, trailing zeros
+	f.Add([]byte{0, 63, 31, 63, 15}) // big segments, big gap
+	f.Add([]byte{1, 1, 1, 1, 1, 1})  // many tiny segments
 	f.Fuzz(func(t *testing.T, spec []byte) {
 		segs, flat := buildSegs(spec)
 		if segs == nil {
