@@ -93,9 +93,6 @@ func benchImage(t *testing.T, sizeMB uint64) (*rbd.Image, func()) {
 	c, err := core.New(core.Options{
 		OSDs: 2, Mode: osd.ModeProposed, Replicas: 2, PGs: 16,
 		DeviceBytes: 1 << 30,
-		// Exercise the oplog group-commit knob end to end: concurrent
-		// jobs on one PG should commit in groups smaller than this cap.
-		GroupCommitMax: 32,
 	})
 	if err != nil {
 		t.Fatal(err)

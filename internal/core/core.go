@@ -18,7 +18,6 @@ import (
 	"rebloc/internal/monitor"
 	"rebloc/internal/nvm"
 	"rebloc/internal/osd"
-	"rebloc/internal/sched"
 	"rebloc/internal/store/cos"
 )
 
@@ -68,9 +67,6 @@ type Options struct {
 	// Shards is the proposed-mode top-half shard count per OSD (zero =
 	// GOMAXPROCS).
 	Shards int
-	// GroupCommitMax caps the oplog group-commit batch per PG (zero =
-	// oplog default).
-	GroupCommitMax int
 	// OplogRegionBytes sizes each PG's NVM op-log region (zero = OSD
 	// default 2 MiB). Smaller regions spread a fixed NVM budget over
 	// more PGs and bring the occupancy ladder's watermarks closer.
@@ -90,12 +86,9 @@ type Options struct {
 	ScrubInterval time.Duration
 	// ScrubRate paces scrub work in objects/sec (zero = OSD default 64).
 	ScrubRate float64
-	// ThrottleHigh/ThrottleLow are the op-log occupancy watermarks of the
-	// graded backpressure ladder (zero = OSD defaults 0.85/0.68).
+	// ThrottleHigh is the op-log occupancy watermark of the graded
+	// backpressure ladder (zero = OSD default 0.85).
 	ThrottleHigh float64
-	ThrottleLow  float64
-	// PinCPUs pins priority/non-priority workers to disjoint core pools.
-	PinCPUs bool
 	// COS overrides the CPU-efficient store options (ablations); COSSet
 	// marks them as explicitly provided.
 	COS    cos.Options
@@ -235,7 +228,6 @@ func (c *Cluster) startOSD(id uint32, addr string, dev device.Device, bank *nvm.
 		Partitions:       c.opts.Partitions,
 		FlushThreshold:   c.opts.FlushThreshold,
 		FlushInterval:    c.opts.FlushInterval,
-		GroupCommitMax:   c.opts.GroupCommitMax,
 		OplogRegionBytes: c.opts.OplogRegionBytes,
 		ReadCacheBytes:   c.opts.ReadCacheBytes,
 		QoSRate:          c.opts.QoSRate,
@@ -243,14 +235,10 @@ func (c *Cluster) startOSD(id uint32, addr string, dev device.Device, bank *nvm.
 		ScrubInterval:    c.opts.ScrubInterval,
 		ScrubRate:        c.opts.ScrubRate,
 		ThrottleHigh:     c.opts.ThrottleHigh,
-		ThrottleLow:      c.opts.ThrottleLow,
 		Shards:           c.opts.Shards,
 		Account:          acct,
 		COS:              c.opts.COS,
 		COSSet:           c.opts.COSSet,
-	}
-	if c.opts.PinCPUs {
-		cfg.Pools = sched.SplitCores(2, 6)
 	}
 	o, err := osd.New(cfg)
 	if err != nil {

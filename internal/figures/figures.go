@@ -276,11 +276,11 @@ func qosRow(u *cut) string {
 	return fmt.Sprintf("%.0f%% %s", occHW*100, us(ack))
 }
 
-// oplogRow summarises the NVM op-log for one cluster-under-test: the
-// group-commit factor (appends per header persist), the bottom-half
-// batching factor (entries per flush pass) and the coalesce ratio
-// (staged entries per store op submitted). Replicated mode has no op
-// log, so the row renders as "-".
+// oplogRow summarises the NVM op-log for one cluster-under-test: ops per
+// commit (appends per header persist), the bottom-half batching factor
+// (entries per flush pass) and the coalesce ratio (staged entries per
+// store op submitted). Replicated mode has no op log, so the row renders
+// as "-".
 func oplogRow(u *cut) string {
 	var snap oplog.StatsSnapshot
 	var batches, entries, storeOps int64
@@ -297,9 +297,9 @@ func oplogRow(u *cut) string {
 	if snap.Appends == 0 {
 		return "-"
 	}
-	opsPerGroup := 0.0
+	opsPerCommit := 0.0
 	if snap.Groups > 0 {
-		opsPerGroup = float64(snap.Appends) / float64(snap.Groups)
+		opsPerCommit = float64(snap.Appends) / float64(snap.Groups)
 	}
 	entriesPerBatch := 0.0
 	if batches > 0 {
@@ -309,7 +309,7 @@ func oplogRow(u *cut) string {
 	if storeOps > 0 {
 		coalesce = float64(entries) / float64(storeOps)
 	}
-	return fmt.Sprintf("%.1fop/gc %.1fe/fl %.1fx", opsPerGroup, entriesPerBatch, coalesce)
+	return fmt.Sprintf("%.1fops/commit %.1fe/fl %.1fx", opsPerCommit, entriesPerBatch, coalesce)
 }
 
 // scrubRow summarises the data-integrity machinery for one

@@ -18,12 +18,12 @@
 // and is the Castagnoli CRC the entry keeps as Entry.DataCRC, so append
 // and replay each make one pass over the payload.
 //
-// Appends are group-committed (group.go): concurrent appenders coalesce
-// into one persisted range and one header persist per group, each member's
-// payload goes from the caller's buffer straight into the region, and the
-// hot path reuses pooled entries and waiters so steady-state appends do
-// not allocate. The index cache keeps a merged extent view per
-// object (extent.go) so reads resolve with whole-extent copies.
+// An append commits on the caller's goroutine under the log lock
+// (group.go): the ops of one call share one persisted range and one header
+// persist, each payload goes from the caller's buffer straight into the
+// region, and entries are pooled so steady-state appends do not allocate.
+// The index cache keeps a merged extent view per object (extent.go) so
+// reads resolve with whole-extent copies.
 package oplog
 
 import (
@@ -63,10 +63,6 @@ const (
 	// object name, dataCRC included.
 	entryMetaFixed = 4 + 1 + 4 + 4 + 8 + 4 + 8 + 8 + 4
 	logMagic       = 0x0910D06
-
-	// DefaultGroupCommitMax caps how many concurrent appends commit as one
-	// group (one data persist + one header persist shared by all of them).
-	DefaultGroupCommitMax = 64
 )
 
 // EntryState tracks an entry through its life cycle.
@@ -124,9 +120,8 @@ type Stats struct {
 	ReadMisses    metrics.Counter // reads needing the backend (R2/R3)
 	Flushed       metrics.Counter // entries drained to the store
 	FullStalls    metrics.Counter // appends rejected by ErrFull
-	Groups        metrics.Counter // group commits persisted
-	GroupBytes    metrics.Counter // bytes persisted by group commits
-	MaxGroup      metrics.Gauge   // largest group ever committed
+	Groups        metrics.Counter // commits persisted (Appends/Groups = ops per commit)
+	MaxGroup      metrics.Gauge   // most ops ever staged by one commit
 }
 
 // StatsSnapshot is a copyable point-in-time view of Stats (the counters
@@ -139,7 +134,6 @@ type StatsSnapshot struct {
 	Flushed       int64
 	FullStalls    int64
 	Groups        int64
-	GroupBytes    int64
 	MaxGroup      int64
 }
 
@@ -153,7 +147,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		Flushed:       s.Flushed.Load(),
 		FullStalls:    s.FullStalls.Load(),
 		Groups:        s.Groups.Load(),
-		GroupBytes:    s.GroupBytes.Load(),
 		MaxGroup:      s.MaxGroup.Load(),
 	}
 }
@@ -167,7 +160,6 @@ func (s StatsSnapshot) Add(o StatsSnapshot) StatsSnapshot {
 	s.Flushed += o.Flushed
 	s.FullStalls += o.FullStalls
 	s.Groups += o.Groups
-	s.GroupBytes += o.GroupBytes
 	if o.MaxGroup > s.MaxGroup {
 		s.MaxGroup = o.MaxGroup
 	}
@@ -180,9 +172,7 @@ type Log struct {
 	region *nvm.Region
 
 	// mu is the paper's "logical group lock", shared between the priority
-	// thread (read lookup, the group leader's commit) and the non-priority
-	// thread (drain). Appenders do not take it directly; they enqueue
-	// under gmu and the group leader commits for everyone (group.go).
+	// thread (append, read lookup) and the non-priority thread (drain).
 	mu      sync.Mutex
 	head    uint64 // next append offset (bytes past headerBytes, modulo)
 	tail    uint64 // first live byte
@@ -190,14 +180,6 @@ type Log struct {
 	used    uint64
 	entries []*Entry             // staged entries in log order
 	index   map[uint64]*objStage // object hash -> staged-extent chain
-
-	// Group-commit state (group.go).
-	gmu        sync.Mutex
-	pending    []*groupWaiter
-	group      []*groupWaiter // leader's scratch, reused across groups
-	committing bool
-	groupMax   int
-	appenders  atomic.Int32 // appenders in flight (leader yield heuristic)
 
 	closed atomic.Bool
 	frozen bool // under mu: crash-style stop, NVM image is read-only
@@ -211,7 +193,7 @@ type Log struct {
 	servedEpoch uint32
 
 	hdrScratch [32]byte // persistHeader encode buffer (no per-call alloc)
-	// metaScratch is commitGroup's frame-header encode buffer (under mu).
+	// metaScratch is commit's frame-header encode buffer (under mu).
 	// Fixed size: a name too long for it allocates, for that append only.
 	metaScratch [entryHeader + entryMetaFixed + 128]byte
 
@@ -246,7 +228,6 @@ func newLog(pg uint32, region *nvm.Region, threshold int) *Log {
 		region:    region,
 		index:     make(map[uint64]*objStage),
 		threshold: threshold,
-		groupMax:  DefaultGroupCommitMax,
 	}
 }
 
@@ -429,7 +410,7 @@ func (l *Log) wrap(pos, n uint64) (first, rest uint64) {
 }
 
 // writeCircularAt stores buf at the circular position pos without
-// persisting; the group leader persists the whole group's range at once.
+// persisting; commit persists the whole range it wrote at once.
 func (l *Log) writeCircularAt(buf []byte, pos uint64) error {
 	first, rest := l.wrap(pos, uint64(len(buf)))
 	if _, err := l.region.WriteAt(buf[:first], int64(headerBytes+pos)); err != nil || rest == 0 {
@@ -590,17 +571,6 @@ func (l *Log) ShouldFlush() bool {
 // Threshold returns the flush threshold.
 func (l *Log) Threshold() int { return l.threshold }
 
-// SetGroupCommitMax caps the appends committed as one group (<=1 commits
-// every append individually).
-func (l *Log) SetGroupCommitMax(n int) {
-	if n <= 0 {
-		n = DefaultGroupCommitMax
-	}
-	l.gmu.Lock()
-	l.groupMax = n
-	l.gmu.Unlock()
-}
-
 // TakeBatch marks up to max staged entries (all if max <= 0) as flushing
 // and returns them in log order. The non-priority thread applies them to
 // the backend store and then calls Complete.
@@ -734,8 +704,7 @@ func (l *Log) StagedOps() []wire.Op {
 	return out
 }
 
-// Close marks the log closed; appends fail afterwards (in-flight group
-// members fail with ErrClosed at commit time).
+// Close marks the log closed; appends fail afterwards with ErrClosed.
 func (l *Log) Close() {
 	l.closed.Store(true)
 }

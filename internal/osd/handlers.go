@@ -381,35 +381,15 @@ func (o *OSD) handleClientMutation(conn messenger.Conn, reqID uint64, epoch uint
 	}
 }
 
-// appendWithFlush appends to the PG op log, flushing synchronously when
-// the NVM region is full (paper §IV-A: a full log forces a synchronous
-// flush before new operations are handled). Every successful append marks
-// the PG dirty so its non-priority worker's next drain — threshold wake
-// or flush-interval tick — visits it without scanning the PG map.
-func (o *OSD) appendWithFlush(pgs *pgState, op wire.Op) error {
-	for {
-		_, err := pgs.log.Append(op)
-		if err == nil {
-			o.markDirty(pgs)
-			o.observeOccupancy(pgs)
-			return nil
-		}
-		if !errors.Is(err, oplog.ErrFull) {
-			return err
-		}
-		o.ForcedFlush.Inc()
-		if err := o.flushPG(pgs); err != nil {
-			return err
-		}
-	}
-}
-
-// appendBatchWithFlush batch-appends a run of ops (one PG, run order) to
-// the PG op log, flushing synchronously and retrying the uncommitted tail
-// whenever the NVM region fills. Returns how many leading ops committed;
-// on a non-ErrFull error the tail is abandoned (prefix-fail, so no
-// object's writes reorder). Marks the PG dirty when anything committed.
-func (o *OSD) appendBatchWithFlush(pgs *pgState, ops []wire.Op) (int, error) {
+// stage appends ops (one PG, in order) to the PG op log as one commit,
+// flushing synchronously and retrying the uncommitted tail whenever the
+// NVM region is full (paper §IV-A: a full log forces a synchronous flush
+// before new operations are handled). Returns how many leading ops
+// committed; on any other error the tail is abandoned (prefix-shaped, so
+// no object's writes reorder). A successful append marks the PG dirty so
+// its non-priority worker's next drain — threshold wake or flush-interval
+// tick — visits it without scanning the PG map.
+func (o *OSD) stage(pgs *pgState, ops ...wire.Op) (int, error) {
 	done := 0
 	for {
 		n, err := pgs.log.AppendBatch(ops[done:])

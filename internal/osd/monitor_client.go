@@ -138,9 +138,12 @@ func (o *OSD) monRecvLoop(conn messenger.Conn, stop <-chan struct{}) {
 	}
 }
 
+// heartbeatInterval is the monitor ping cadence.
+const heartbeatInterval = 250 * time.Millisecond
+
 // heartbeatLoop pings the monitor so failure detection works.
 func (o *OSD) heartbeatLoop(stop <-chan struct{}) {
-	ticker := time.NewTicker(o.cfg.HeartbeatInterval)
+	ticker := time.NewTicker(heartbeatInterval)
 	defer ticker.Stop()
 	for {
 		select {

@@ -121,14 +121,6 @@ type Config struct {
 	// (proposed mode). 0 picks the default (8 MiB, best-effort: a bank
 	// too small to carve it just runs uncached); negative disables it.
 	ReadCacheBytes int64
-	// GroupCommitMax caps how many concurrent appends the op log commits
-	// as one group (one shared NVM persist). 0 means the oplog default.
-	GroupCommitMax int
-	// ReplBatchMax caps how many queued ops for one peer coalesce into a
-	// single ReplBatch frame. The batch engages only when more than one
-	// op is waiting (idle peers see plain Repl frames, unchanged
-	// latency); 1 disables batching entirely. Default 32.
-	ReplBatchMax int
 	// QoSRate enables per-tenant token-bucket admission at the messenger
 	// ingress: a global client-write budget in ops/sec, weighted-fair
 	// shared across tenants (one tenant per volume/image). 0 disables
@@ -137,13 +129,12 @@ type Config struct {
 	// QoSBurst is the per-unit-weight token bucket depth in ops
 	// (default 64): how far a tenant may burst above its sustained share.
 	QoSBurst float64
-	// ThrottleHigh/ThrottleLow are the op-log occupancy watermarks (staged
-	// bytes / capacity) of the graded backpressure ladder: at High the
-	// ingress starts pacing producers, halfway between High and a full
-	// log it rejects with retry-after, and it clears only once occupancy
-	// falls back to Low. Defaults 0.85 / 0.68; ThrottleHigh >= 1 disables.
+	// ThrottleHigh is the op-log occupancy watermark (staged bytes /
+	// capacity) of the graded backpressure ladder: at High the ingress
+	// starts pacing producers, halfway between High and a full log it
+	// rejects with retry-after, and it clears only once occupancy falls
+	// back to 0.8 x High. Default 0.85; ThrottleHigh >= 1 disables.
 	ThrottleHigh float64
-	ThrottleLow  float64
 	// ScrubInterval is the background scrub cadence (proposed mode): every
 	// interval the scrub daemon walks the PGs this OSD leads and cross-
 	// checks object sets against the replicas; every fourth pass is a deep
@@ -157,8 +148,6 @@ type Config struct {
 	Account *metrics.CPUAccount
 	// Pools optionally pins priority/non-priority workers to CPU pools.
 	Pools sched.CPUPools
-	// HeartbeatInterval for monitor pings.
-	HeartbeatInterval time.Duration
 	// StoreOptions tunes the backend store.
 	BlueStore bluestore.Options
 	COS       cos.Options
@@ -214,20 +203,8 @@ func (c *Config) fill() error {
 			c.OplogRegionBytes = 2 << 20
 		}
 	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if c.ReplBatchMax <= 0 {
-		c.ReplBatchMax = 32
-	}
 	if c.QoSBurst <= 0 {
 		c.QoSBurst = 64
-	}
-	if c.ThrottleHigh <= 0 {
-		c.ThrottleHigh = 0.85
-	}
-	if c.ThrottleLow <= 0 || c.ThrottleLow >= c.ThrottleHigh {
-		c.ThrottleLow = c.ThrottleHigh * 0.8
 	}
 	if c.ScrubRate <= 0 {
 		c.ScrubRate = 64
@@ -394,8 +371,9 @@ type OSD struct {
 	scrubMu sync.Mutex
 	// lastScrub is the UnixNano completion time of the latest scrub pass.
 	lastScrub atomic.Int64
-	// drainPressure counts PGs whose throttle sits at delay-or-worse;
-	// the bottom half widens its drain bursts while it is non-zero.
+	// drainPressure counts PGs whose throttle sits at delay-or-worse. It
+	// gates the ingress fast path: while it is zero admitMutation and
+	// replDelay return after one atomic load, without looking the PG up.
 	drainPressure atomic.Int32
 
 	// Stats visible to the harness.
@@ -681,7 +659,6 @@ func (o *OSD) pgStateFor(pg uint32) (*pgState, error) {
 		if salvaged {
 			o.OplogSalvages.Inc()
 		}
-		log.SetGroupCommitMax(o.cfg.GroupCommitMax)
 		if rc := o.rcache; rc != nil {
 			// Strict invalidation: staging a write/delete drops the
 			// object's cached blocks before the append returns; a flush
@@ -696,7 +673,8 @@ func (o *OSD) pgStateFor(pg uint32) (*pgState, error) {
 		s.log = log
 		s.seq = log.LastSeq()
 		s.servedEpoch = log.ServedEpoch()
-		th := qos.NewThrottle(o.cfg.ThrottleHigh, o.cfg.ThrottleLow)
+		// Zero values take NewThrottle's defaults: High 0.85, Low 0.8 x High.
+		th := qos.NewThrottle(o.cfg.ThrottleHigh, 0)
 		th.OnChange = func(from, to qos.State) {
 			// drainPressure counts PGs at delay-or-worse; the edges in and
 			// out of StateClear are the only membership changes.
@@ -801,7 +779,7 @@ func (o *OSD) Kill() {
 }
 
 // OplogSnapshot sums the per-PG operation-log stats into one OSD-wide
-// view (group sizes, index hit rates, full stalls).
+// view (ops per commit, index hit rates, full stalls).
 func (o *OSD) OplogSnapshot() oplog.StatsSnapshot {
 	var total oplog.StatsSnapshot
 	o.pgMu.Lock()

@@ -73,7 +73,7 @@ func (o *OSD) repairFromReplica(pg uint32, oid wire.ObjectID) ([]byte, bool) {
 	// Snapshot the fence BEFORE flushing and fetching (see repair.go): the
 	// rewrite is only installable while no write staged since.
 	mutSnap := pgs.muts.Load()
-	if o.cfg.Mode.usesOplog() && pgs.log != nil {
+	if pgs.log != nil {
 		if err := o.flushPG(pgs); err != nil {
 			return nil, false
 		}

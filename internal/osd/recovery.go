@@ -223,7 +223,7 @@ type probeResult struct {
 // acks gate the client ACK), so dropping it is legal — and keeping it
 // would leave the replicas permanently divergent.
 func (o *OSD) backfillAttempt(pg uint32, pgs *pgState, m *crush.Map, source uint32, stop <-chan struct{}) (res probeResult) {
-	if o.cfg.Mode.usesOplog() && pgs.log != nil {
+	if pgs.log != nil {
 		if err := o.flushPG(pgs); err != nil {
 			return res
 		}
@@ -271,8 +271,8 @@ func (o *OSD) backfillAttempt(pg uint32, pgs *pgState, m *crush.Map, source uint
 		return res // never copy from a half-synced source
 	}
 	for _, op := range chunk0.Ops {
-		if o.cfg.Mode.usesOplog() && pgs.log != nil {
-			if err := o.appendWithFlush(pgs, op); err != nil {
+		if pgs.log != nil {
+			if _, err := o.stage(pgs, op); err != nil {
 				return res
 			}
 		} else if err := o.applyDirect(pg, op); err != nil {

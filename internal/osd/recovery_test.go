@@ -106,7 +106,7 @@ func TestServeBackfillPullFlushesStagedFirst(t *testing.T) {
 		Data: []byte("staged-data"),
 	}
 	op.Version = op.Seq
-	if err := o.appendWithFlush(pgs, op); err != nil {
+	if _, err := o.stage(pgs, op); err != nil {
 		t.Fatal(err)
 	}
 
@@ -144,7 +144,7 @@ func TestServeOplogPullReturnsStagedSuffix(t *testing.T) {
 			Seq:  pgs.nextSeq(),
 			Data: []byte{byte(i)},
 		}
-		if err := o.appendWithFlush(pgs, op); err != nil {
+		if _, err := o.stage(pgs, op); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -154,7 +154,7 @@ func (o *OSD) runRepairs() {
 // sequence number is NOT assigned here — the caller assigns it on the
 // owning shard goroutine, after fencing against concurrent writes.
 func (o *OSD) repairOp(pg uint32, oid wire.ObjectID, pgs *pgState) (wire.Op, bool) {
-	if o.cfg.Mode.usesOplog() && pgs.log != nil {
+	if pgs.log != nil {
 		// The store must reflect the staged tail before we read it back.
 		if err := o.flushPG(pgs); err != nil {
 			return wire.Op{}, false

@@ -352,16 +352,19 @@ func (o *OSD) peerRecvLoop(pr *peer, stop <-chan struct{}) {
 	}
 }
 
+// replBatchMax caps how many queued ops for one peer coalesce into a
+// single ReplBatch frame.
+const replBatchMax = 32
+
 // peerSendLoop drains a peer's replication queue. A single queued op
 // ships as a plain Repl (identical wire behaviour to the unbatched
 // path); when more than one op is waiting — replication fan-out under
-// load — up to ReplBatchMax coalesce into one ReplBatch frame, saving
+// load — up to replBatchMax coalesce into one ReplBatch frame, saving
 // per-frame encode/flush overhead on both sides. Send failures complete
 // the affected ops with StatusAgain so clients retry after a map
 // refresh.
 func (o *OSD) peerSendLoop(pr *peer, stop <-chan struct{}) {
-	maxBatch := o.cfg.ReplBatchMax
-	batch := make([]wire.Repl, 0, maxBatch)
+	batch := make([]wire.Repl, 0, replBatchMax)
 	for {
 		var it replItem
 		select {
@@ -383,7 +386,7 @@ func (o *OSD) peerSendLoop(pr *peer, stop <-chan struct{}) {
 		}
 		batch = append(batch[:0], wire.Repl{ReqID: it.pendingID, PG: it.pg, Epoch: it.epoch, Op: it.op})
 	fill:
-		for len(batch) < maxBatch {
+		for len(batch) < replBatchMax {
 			select {
 			case it = <-pr.q:
 				batch = append(batch, wire.Repl{ReqID: it.pendingID, PG: it.pg, Epoch: it.epoch, Op: it.op})

@@ -30,9 +30,10 @@ import (
 // never does after warm-up.
 
 // shardBurstMax bounds how many queued requests one shard picks up per
-// scheduling round. Bursts are what keep group commit effective with a
-// single appender per PG: every mutation run inside a burst becomes one
-// AppendBatch, sharing NVM persists the way concurrent appenders used to.
+// scheduling round. Bursts are where append batching comes from: a shard
+// is the only appender of its PGs, and every mutation run inside a burst
+// becomes one AppendBatch per PG — one commit, its NVM persists shared by
+// the whole run.
 const shardBurstMax = 64
 
 // shardOf maps a PG to its owning shard. Knuth's multiplicative hash
@@ -313,10 +314,9 @@ func (sh *shard) processRun(run []runOp) {
 	}
 
 	// Phase B: per-PG batched appends. Each PG's ops (in run order) go
-	// down as one AppendBatch — one group commit's worth of NVM persists
-	// for the whole run, preserving the amortization that concurrent
-	// per-op appenders used to provide. Failure is prefix-shaped, so a
-	// partial batch never reorders an object's writes.
+	// down as one AppendBatch — one commit's NVM persists for the whole
+	// run. Failure is prefix-shaped, so a partial batch never reorders an
+	// object's writes.
 	for i := range run {
 		if run[i].done || run[i].appended {
 			continue
@@ -332,7 +332,7 @@ func (sh *shard) processRun(run []runOp) {
 			ops = append(ops, t.op)
 			idx = append(idx, j)
 		}
-		committed, err := o.appendBatchWithFlush(pgs, ops)
+		committed, err := o.stage(pgs, ops...)
 		for k, j := range idx {
 			t := &run[j]
 			if k < committed {
@@ -473,7 +473,7 @@ func (sh *shard) clientRead(conn messenger.Conn, msg *wire.ClientRead, pg uint32
 		// flush (paper W3).
 		op := wire.Op{Kind: wire.OpRead, OID: msg.OID, Offset: msg.Offset, Length: msg.Length, Seq: pgs.nextSeq()}
 		o.readWaiters.Store(readKey(pg, op.Seq), rt)
-		if err := o.appendWithFlush(pgs, op); err != nil {
+		if _, err := o.stage(pgs, op); err != nil {
 			o.readWaiters.Delete(readKey(pg, op.Seq))
 			reply(wire.StatusIOError, nil)
 			return

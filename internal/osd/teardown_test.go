@@ -58,7 +58,7 @@ func TestKillMidDrainDoesNotDoubleComplete(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		op := wire.Op{Kind: wire.OpWrite, OID: oid, Offset: uint64(i) * 4096, Data: payload, Seq: pgs.nextSeq()}
 		op.Version = op.Seq
-		if err := o.appendWithFlush(pgs, op); err != nil {
+		if _, err := o.stage(pgs, op); err != nil {
 			t.Fatal(err)
 		}
 	}

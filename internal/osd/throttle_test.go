@@ -74,7 +74,7 @@ func TestRejectBandReleasesOnceDrained(t *testing.T) {
 	for pgs.throttle.State() != qos.StateReject {
 		op := wire.Op{Kind: wire.OpWrite, OID: oid, Length: uint32(len(data)), Data: data, Seq: pgs.nextSeq()}
 		op.Version = op.Seq
-		if err := o.appendWithFlush(pgs, op); err != nil {
+		if _, err := o.stage(pgs, op); err != nil {
 			pgs.flushMu.Unlock()
 			t.Fatal(err)
 		}

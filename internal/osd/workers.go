@@ -239,13 +239,15 @@ func (o *OSD) drainOwnedPGs(worker int) {
 // submit failure every participating PG's entries are requeued and the PG
 // re-marked dirty (without a wake) so the flush ticker retries.
 func (o *OSD) drainBatch(owned []*pgState) {
+	type job struct {
+		s      *pgState
+		batch  []*oplog.Entry
+		merged []oplog.MergedOp
+		gen    uint64
+	}
 	var (
-		txn      store.Transaction
-		combined []*pgState
-		batches  [][]*oplog.Entry
-		opCounts []int
-		merges   [][]oplog.MergedOp
-		gens     []uint64
+		txn  store.Transaction
+		jobs []job
 	)
 	for _, s := range owned {
 		// Clear before flushing: appends racing with the flush re-queue
@@ -255,30 +257,17 @@ func (o *OSD) drainBatch(owned []*pgState) {
 			continue
 		}
 		s.flushMu.Lock()
-		var flushGen uint64
-		if o.rcache != nil {
-			// Captured BEFORE TakeBatch: a write staged after the batch
-			// was taken moves the generation and FlushAdmit refuses the
-			// (then-stale) batch data.
-			flushGen = o.rcache.FlushGen(s.pg)
+		batch, flushGen, err := o.takeStaged(s)
+		if err == nil && batchHasRead(batch) {
+			// Per-PG barrier path: nothing left for the combined submit.
+			err = o.applyAndComplete(s, batch, flushGen)
+			batch = nil
 		}
-		batch := s.log.TakeBatch(0)
+		if err != nil {
+			o.noteFlushErr(s, err)
+		}
 		if len(batch) == 0 {
 			s.flushMu.Unlock()
-			continue
-		}
-		if err := o.verifyStaged(s, batch); err != nil {
-			s.log.Requeue(batch)
-			o.noteFlushErr(s, err)
-			s.flushMu.Unlock()
-			continue
-		}
-		if batchHasRead(batch) {
-			err := o.applyAndComplete(s, batch, flushGen)
-			s.flushMu.Unlock()
-			if err != nil {
-				o.noteFlushErr(s, err)
-			}
 			continue
 		}
 		c := &s.coal
@@ -287,52 +276,32 @@ func (o *OSD) drainBatch(owned []*pgState) {
 			c.Add(e)
 		}
 		merged := c.Emit()
-		before := len(txn.Ops)
-		for i := range merged {
-			m := &merged[i]
-			if m.Delete {
-				txn.AddDelete(s.pg, m.OID)
-			} else {
-				txn.AddWrite(s.pg, m.OID, m.Off, m.Data)
-			}
-		}
+		addMerged(&txn, s.pg, merged)
 		// flushMu stays held until the combined submit resolves, keeping
 		// this PG's entry order intact against forced flushes.
-		combined = append(combined, s)
-		batches = append(batches, batch)
-		opCounts = append(opCounts, len(txn.Ops)-before)
-		merges = append(merges, merged)
-		gens = append(gens, flushGen)
+		jobs = append(jobs, job{s: s, batch: batch, merged: merged, gen: flushGen})
 	}
-	if len(combined) == 0 {
+	if len(jobs) == 0 {
 		return
 	}
 	err := o.st.Submit(&txn)
-	for i, s := range combined {
+	for _, j := range jobs {
+		s := j.s
 		if err != nil {
-			s.log.Requeue(batches[i])
+			s.log.Requeue(j.batch)
 			o.noteFlushErr(s, err)
 		} else {
 			o.FlushBatches.Inc()
-			o.FlushedEntries.Add(int64(len(batches[i])))
-			o.FlushStoreOps.Add(int64(opCounts[i]))
-			if cerr := s.log.Complete(batches[i]); cerr != nil {
+			o.FlushedEntries.Add(int64(len(j.batch)))
+			o.FlushStoreOps.Add(int64(len(j.merged)))
+			if cerr := s.log.Complete(j.batch); cerr != nil {
 				// Entries are applied; only the log trim failed. Surface
 				// it without requeueing already-durable ops.
 				o.noteFlushErr(s, cerr)
-			} else if o.rcache != nil {
-				// Flush admission: the drain just made these extents
-				// durable and they were hot enough to be written — keep
-				// them readable at cache latency instead of letting the
-				// flush turn them cold. The merged slices stay valid
-				// until the PG's next coalesce Reset, which flushMu still
-				// excludes.
-				for mi := range merges[i] {
-					m := &merges[i][mi]
-					if !m.Delete {
-						o.rcache.FlushAdmit(s.pg, gens[i], m.OID, m.Off, m.Data)
-					}
-				}
+			} else {
+				// The merged slices stay valid until the PG's next
+				// coalesce Reset, which flushMu still excludes.
+				o.admitFlushed(s.pg, j.gen, j.merged)
 			}
 			o.observeOccupancy(s)
 		}
@@ -369,32 +338,74 @@ func (o *OSD) flushPG(s *pgState) error {
 	}
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
-	var flushGen uint64
-	if o.rcache != nil {
-		flushGen = o.rcache.FlushGen(s.pg)
-	}
-	batch := s.log.TakeBatch(0)
-	if len(batch) == 0 {
-		return nil
-	}
-	if err := o.verifyStaged(s, batch); err != nil {
-		s.log.Requeue(batch)
+	batch, flushGen, err := o.takeStaged(s)
+	if err != nil || len(batch) == 0 {
 		return err
 	}
 	return o.applyAndComplete(s, batch, flushGen)
 }
 
-// verifyStaged checks every staged payload against the CRC recorded at
-// append time, restoring any corrupted DRAM copy from its NVM frame before
-// the batch reaches the store. Errors only when a payload is corrupt AND
-// its frame is unreadable — requeue and retry is all that's left then.
-func (o *OSD) verifyStaged(s *pgState, batch []*oplog.Entry) error {
+// takeStaged takes everything staged in s's log for a flush, together with
+// the read cache's flush generation — captured BEFORE TakeBatch: a write
+// staged after the batch was taken moves the generation and FlushAdmit
+// refuses the (then-stale) batch data. Every payload is checked against
+// the CRC recorded at append time and a corrupted DRAM copy restored from
+// its NVM frame before the batch reaches the store; when a payload is
+// corrupt AND its frame unreadable the batch is requeued and the error
+// returned — retry is all that's left then. Caller holds s.flushMu.
+func (o *OSD) takeStaged(s *pgState) (batch []*oplog.Entry, flushGen uint64, err error) {
+	if o.rcache != nil {
+		flushGen = o.rcache.FlushGen(s.pg)
+	}
+	if batch = s.log.TakeBatch(0); len(batch) == 0 {
+		return nil, 0, nil
+	}
 	healed, err := s.log.VerifyStagedData(batch)
 	if healed > 0 {
 		o.OplogHeals.Add(int64(healed))
 		log.Printf("osd %d: pg %d restored %d staged payloads from NVM", o.cfg.ID, s.pg, healed)
 	}
-	return err
+	if err != nil {
+		s.log.Requeue(batch)
+		return nil, 0, err
+	}
+	return batch, flushGen, nil
+}
+
+// addMerged appends one PG's coalesced ops to txn.
+func addMerged(txn *store.Transaction, pg uint32, merged []oplog.MergedOp) {
+	for i := range merged {
+		if m := &merged[i]; m.Delete {
+			txn.AddDelete(pg, m.OID)
+		} else {
+			txn.AddWrite(pg, m.OID, m.Off, m.Data)
+		}
+	}
+}
+
+// submitMerged applies one PG's coalesced ops as one store transaction.
+func (o *OSD) submitMerged(pg uint32, merged []oplog.MergedOp) error {
+	if len(merged) == 0 {
+		return nil
+	}
+	var txn store.Transaction
+	addMerged(&txn, pg, merged)
+	return o.st.Submit(&txn)
+}
+
+// admitFlushed offers extents a flush just made durable to the read cache:
+// they were hot enough to be written, so keep them readable at cache
+// latency instead of letting the flush turn them cold. flushGen, captured
+// before TakeBatch, refuses them if a newer write staged since.
+func (o *OSD) admitFlushed(pg uint32, flushGen uint64, merged []oplog.MergedOp) {
+	if o.rcache == nil {
+		return
+	}
+	for i := range merged {
+		if m := &merged[i]; !m.Delete {
+			o.rcache.FlushAdmit(pg, flushGen, m.OID, m.Off, m.Data)
+		}
+	}
 }
 
 // applyAndComplete applies one PG's taken batch and completes (or, on
@@ -424,33 +435,11 @@ func (o *OSD) applyEntries(s *pgState, batch []*oplog.Entry, flushGen uint64) er
 	c.Reset()
 	submit := func() error {
 		merged := c.Emit()
-		if len(merged) == 0 {
-			return nil
-		}
-		txn := &store.Transaction{}
-		for i := range merged {
-			m := &merged[i]
-			if m.Delete {
-				txn.AddDelete(s.pg, m.OID)
-			} else {
-				txn.AddWrite(s.pg, m.OID, m.Off, m.Data)
-			}
-		}
-		if err := o.st.Submit(txn); err != nil {
+		if err := o.submitMerged(s.pg, merged); err != nil {
 			return err
 		}
 		o.FlushStoreOps.Add(int64(len(merged)))
-		if o.rcache != nil {
-			// Flush admission (see drainBatch): the extents are durable
-			// now, and the gen captured before TakeBatch refuses them if
-			// a newer write staged since.
-			for i := range merged {
-				m := &merged[i]
-				if !m.Delete {
-					o.rcache.FlushAdmit(s.pg, flushGen, m.OID, m.Off, m.Data)
-				}
-			}
-		}
+		o.admitFlushed(s.pg, flushGen, merged)
 		return nil
 	}
 	for _, e := range batch {
@@ -496,20 +485,7 @@ func (o *OSD) applyBatchToStore(pg uint32, batch []*oplog.Entry) error {
 	for _, e := range batch {
 		c.Add(e)
 	}
-	merged := c.Emit()
-	if len(merged) == 0 {
-		return nil
-	}
-	txn := &store.Transaction{}
-	for i := range merged {
-		m := &merged[i]
-		if m.Delete {
-			txn.AddDelete(pg, m.OID)
-		} else {
-			txn.AddWrite(pg, m.OID, m.Off, m.Data)
-		}
-	}
-	return o.st.Submit(txn)
+	return o.submitMerged(pg, c.Emit())
 }
 
 // rtcMutation is the run-to-completion write path (Figure 1 probes): the
