@@ -168,7 +168,7 @@ func Run(t *testing.T, sc Scenario, seed int64) {
 		PGs:      opts.PGs,
 		// Always run the sharded top half multi-shard, even on small CI
 		// hosts where the per-core default would collapse to one shard:
-		// faults must hit cross-shard routing, per-shard group commit and
+		// faults must hit cross-shard routing, per-shard batched appends and
 		// the lock-free dirty queue, not a degenerate single-queue layout.
 		Shards:           4,
 		DeviceBytes:      256 << 20,

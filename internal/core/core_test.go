@@ -180,7 +180,7 @@ func TestFlushDurability(t *testing.T) {
 
 // TestProposedMultiShard forces more top-half shards than the host has
 // cores, so PGs spread across shard loops and client batches split across
-// them (cross-shard ReplBatch routing, per-shard group commit, zero-copy
+// them (cross-shard ReplBatch routing, per-shard batched appends, zero-copy
 // reads) regardless of the machine running the test. Mixed concurrent
 // writers/readers/deleters then verify integrity end to end.
 func TestProposedMultiShard(t *testing.T) {

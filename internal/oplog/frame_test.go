@@ -11,7 +11,7 @@ import (
 
 // appendAt starts an empty log whose head sits at pos, appends op there
 // and returns the log, its bank and region, and the length of the frame's
-// header part (everything before the payload). commitGroup writes that
+// header part (everything before the payload). commit writes that
 // part and the payload separately, so pos decides which of the two — and
 // which field inside it — straddles the end of the region.
 func appendAt(t *testing.T, regionSize int64, pos uint64, op wire.Op) (*Log, *nvm.Bank, *nvm.Region, uint64) {

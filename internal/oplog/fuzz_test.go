@@ -37,7 +37,7 @@ func TestDecodeOpGarbageNeverPanics(t *testing.T) {
 	}
 }
 
-// testFrame returns op's full log frame: what commitGroup writes in two
+// testFrame returns op's full log frame: what commit writes in two
 // parts, concatenated.
 func testFrame(op wire.Op) []byte {
 	return append(appendEntryHeader(nil, &op, dataCRC(&op)), op.Data...)
